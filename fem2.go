@@ -684,7 +684,8 @@ type SolveOpts = fem.SolveOpts
 // sequential, NAVM-distributed, or substructured — through the solver
 // engine registry.  The zero SolveOpts runs the banded Cholesky
 // baseline.  All paths honour ctx: a cancelled solve returns an error
-// wrapping ErrCancelled.
+// wrapping ErrCancelled.  A model solved more than once keeps its
+// symbolic assembly between solves, rebuilt when its topology changes.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	return fem.Solve(ctx, m, ls, opts)
 }
@@ -709,8 +710,8 @@ type AssemblyWorkspace = fem.Workspace
 func NewAssemblyWorkspace(m *Model) (*AssemblyWorkspace, error) { return fem.NewWorkspace(m) }
 
 // Assemble builds the reduced global stiffness system of a model in one
-// shot.  Callers that re-assemble one topology should retain a
-// NewAssemblyWorkspace instead.
+// shot.  Solve needs no help to re-assemble a topology; callers that
+// re-assemble one outside Solve can retain a NewAssemblyWorkspace.
 func Assemble(m *Model) (*Assembled, error) { return fem.Assemble(m) }
 
 // SolveAssembled solves a pre-assembled system for one load set —

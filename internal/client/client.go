@@ -615,6 +615,14 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 	case resp := <-ch:
 		return resp, nil
 	case <-ln.done:
+		// readLoop delivers a response before it can read EOF and
+		// close done, so both may be ready here and select picks one at
+		// random: prefer the response already delivered.
+		select {
+		case resp := <-ch:
+			return resp, nil
+		default:
+		}
 		return nil, ln.failure()
 	case <-ctx.Done():
 		ln.mu.Lock()

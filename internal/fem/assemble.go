@@ -23,8 +23,10 @@ type Assembled struct {
 // system at its free dofs, with fixed rows/columns eliminated — the AUVM
 // "solve structure model" operation's first half.  It is the one-shot
 // form of the symbolic/numeric split: a Workspace is built, run once,
-// and discarded.  Callers that assemble a topology repeatedly should
-// retain a Workspace (NewWorkspace) instead.
+// and discarded, so the result is the caller's own.  Solve does not
+// need it — it keeps the model's workspace across repeat solves by
+// itself; callers that re-assemble one topology outside Solve can
+// retain a Workspace (NewWorkspace).
 func Assemble(m *Model) (*Assembled, error) {
 	ws, err := NewWorkspace(m)
 	if err != nil {

@@ -14,6 +14,7 @@ package fem
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -83,6 +84,41 @@ type Model struct {
 	// factors caches direct-solve factorisations of this model's
 	// assembled system; see Factors.
 	factors linalg.FactorCache
+	// sym retains the symbolic assembly of repeat solves; see
+	// Model.assemble.
+	sym symCache
+}
+
+// symCache is a model's retained symbolic assembly, guarded by mu.
+type symCache struct {
+	mu sync.Mutex
+	ws *Workspace
+	// assembled records that a solve has already built a workspace for
+	// this model: only a repeat assembly is worth retaining.
+	assembled bool
+}
+
+// assemble assembles m through the retained workspace while it still
+// fits m's topology (Workspace.fits), building a new one otherwise.  A
+// model keeps a workspace only from its second assembly on, so a model
+// that is solved once holds no more memory than the solve needed.  The
+// caller holds m.sym.mu for as long as it uses the result, which shares
+// the workspace's value buffer.
+func (m *Model) assemble() (*Assembled, error) {
+	c := &m.sym
+	ws := c.ws
+	if ws == nil || !ws.fits(m) {
+		c.ws = nil
+		var err error
+		if ws, err = NewWorkspace(m); err != nil {
+			return nil, err
+		}
+		if c.assembled {
+			c.ws = ws
+		}
+		c.assembled = true
+	}
+	return ws.Assemble()
 }
 
 // NewModel returns an empty model.
@@ -114,13 +150,24 @@ func (m *Model) AddElement(e Element) error {
 // ones bit for bit, so mutating the model — through its methods or its
 // exported fields — always triggers an in-place refactor on the next
 // solve rather than a stale answer.  Safe for concurrent use.
+//
+// Solve likewise retains the model's symbolic assembly (Workspace)
+// from its second solve on, and reuses it only after checking that the
+// node count, constraint count, and element connectivity are those it
+// was built from; numeric assembly runs on every solve, so coordinate
+// and material changes reach the value comparison above.
 func (m *Model) Factors() *linalg.FactorCache { return &m.factors }
 
-// Touch drops the model's cached factorisations outright, forcing the
-// next direct solve to replan.  Mutations are detected by value
-// comparison anyway, so Touch is only needed to release the cache's
-// memory early.
-func (m *Model) Touch() { m.factors.Invalidate() }
+// Touch drops the model's cached factorisations and retained symbolic
+// assembly outright, forcing the next direct solve to replan and the
+// model to count as never assembled.  Mutations are detected anyway,
+// so Touch is only needed to release the caches' memory early.
+func (m *Model) Touch() {
+	m.factors.Invalidate()
+	m.sym.mu.Lock()
+	m.sym.ws, m.sym.assembled = nil, false
+	m.sym.mu.Unlock()
+}
 
 // NumDOF returns the total degree-of-freedom count.
 func (m *Model) NumDOF() int { return DOFPerNode * len(m.Nodes) }

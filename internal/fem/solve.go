@@ -94,7 +94,9 @@ type Solution struct {
 // directs — the AUVM "solve structure model/load set for displacements"
 // operation, unified over sequential, NAVM-parallel, and substructured
 // execution.  All three paths honour ctx: a cancelled solve returns an
-// error wrapping errs.ErrCancelled.
+// error wrapping errs.ErrCancelled.  The sequential and NAVM-parallel
+// paths assemble through the model's retained symbolic assembly once
+// the model has been solved before (see Model.Factors).
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	if opts.Substructured > 0 {
 		// The condensation path performs its own direct solves, so the
@@ -118,7 +120,18 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 		sol.Backend = opts.backendName()
 		return sol, nil
 	}
-	asm, err := Assemble(m)
+	// The model's retained workspace is not safe for concurrent use: a
+	// solve that finds it busy assembles one-shot rather than wait (the
+	// job scheduler's per-model lock never leaves it busy).  The lock is
+	// held through the solve, because asm shares the workspace's values.
+	var asm *Assembled
+	var err error
+	if m.sym.mu.TryLock() {
+		defer m.sym.mu.Unlock()
+		asm, err = m.assemble()
+	} else {
+		asm, err = Assemble(m)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package fem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -31,7 +32,8 @@ type StiffnessWriter interface {
 // buffer, so it is valid until the next Assemble/AssembleParallel call
 // on the same workspace; callers that need snapshots keep one workspace
 // per concurrent system.  Workspace methods are not safe for concurrent
-// use.
+// use.  Solve retains one workspace per repeatedly solved model, guarded
+// by the model, and rebuilds it when the topology changes.
 type Workspace struct {
 	m     *Model
 	free  []int
@@ -42,6 +44,11 @@ type Workspace struct {
 	// index in K.Val, -1 where either dof is fixed.
 	scat [][]int32
 	ndof []int
+	// conn is the element connectivity the workspace was built from,
+	// element after element (ndof[e]/DOFPerNode nodes each), and nfixed
+	// the constrained-dof count; fits compares both with the model.
+	conn   []int
+	nfixed int
 	// bufs are the per-worker accumulation buffers of the parallel
 	// numeric phase, grown lazily to the requested worker count.
 	bufs [][]float64
@@ -78,33 +85,57 @@ func (sc *stiffScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, e
 // reduces out the fixed dofs, builds the CSR sparsity pattern of the
 // free-dof system with a two-pass counting sort, and records where every
 // element stiffness entry scatters.  No element stiffness is evaluated —
-// the symbolic phase depends on topology alone.
+// the symbolic phase depends on topology alone.  A first pass over the
+// connectivity counts the coordinates, so every array is allocated once
+// at its final size.
 func NewWorkspace(m *Model) (*Workspace, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	free, index := m.FreeDOFs()
-	var rows, cols []int
-	scat := make([][]int32, len(m.Elements))
 	ndof := make([]int, len(m.Elements))
+	var conn []int
+	ncoord, nscat := 0, 0
 	for ei, e := range m.Elements {
-		dofs := ElementDOFs(e)
-		nd := len(dofs)
+		ns := e.Nodes()
+		conn = append(conn, ns...)
+		nd := DOFPerNode * len(ns)
 		ndof[ei] = nd
-		s := make([]int32, nd*nd)
-		for i, gi := range dofs {
-			ri := index[gi]
-			for j, gj := range dofs {
-				rj := index[gj]
+		nscat += nd * nd
+		nfree := 0
+		for _, n := range ns {
+			for d := 0; d < DOFPerNode; d++ {
+				if index[DOF(n, d)] >= 0 {
+					nfree++
+				}
+			}
+		}
+		ncoord += nfree * nfree
+	}
+	rows, cols := make([]int, ncoord), make([]int, ncoord)
+	flat := make([]int32, nscat)
+	scat := make([][]int32, len(m.Elements))
+	k, noff := 0, 0
+	for ei, nd := range ndof {
+		ns := conn[noff : noff+nd/DOFPerNode]
+		noff += len(ns)
+		s := flat[: nd*nd : nd*nd]
+		flat = flat[nd*nd:]
+		// Local dof i is freedom i%DOFPerNode of node ns[i/DOFPerNode],
+		// the ElementDOFs order.
+		for i := 0; i < nd; i++ {
+			ri := index[DOF(ns[i/DOFPerNode], i%DOFPerNode)]
+			for j := 0; j < nd; j++ {
+				rj := index[DOF(ns[j/DOFPerNode], j%DOFPerNode)]
 				if ri < 0 || rj < 0 {
 					s[i*nd+j] = -1
 					continue
 				}
 				// Temporarily store the coordinate index; remapped to
 				// the flat value index once the pattern exists.
-				s[i*nd+j] = int32(len(rows))
-				rows = append(rows, ri)
-				cols = append(cols, rj)
+				s[i*nd+j] = int32(k)
+				rows[k], cols[k] = ri, rj
+				k++
 			}
 		}
 		scat[ei] = s
@@ -120,9 +151,45 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 			}
 		}
 	}
-	ws := &Workspace{m: m, free: free, index: index, pat: pat, scat: scat, ndof: ndof}
+	ws := &Workspace{m: m, free: free, index: index, pat: pat, scat: scat, ndof: ndof,
+		conn: conn, nfixed: m.NumFixed()}
 	ws.asm = &Assembled{K: pat.NewCSR(), Free: free, Index: index}
 	return ws, nil
+}
+
+// fits reports whether the workspace still describes m's topology: the
+// same node count, the same number of constrained dofs (constraints
+// are only ever added, so an equal count is an equal set), and element
+// by element the same connectivity.  Element values are not compared —
+// the numeric phase reads the live element list, so a replaced element
+// with the same nodes needs no new pattern.  CST and Bar connectivity
+// is read field by field, so the check allocates nothing for the
+// built-in element library.
+func (ws *Workspace) fits(m *Model) bool {
+	if ws.m != m || len(ws.index) != m.NumDOF() || ws.nfixed != m.NumFixed() ||
+		len(ws.ndof) != len(m.Elements) {
+		return false
+	}
+	conn := ws.conn
+	for ei, e := range m.Elements {
+		ns := conn[:ws.ndof[ei]/DOFPerNode]
+		conn = conn[len(ns):]
+		switch e := e.(type) {
+		case *CST:
+			if len(ns) != 3 || ns[0] != e.N1 || ns[1] != e.N2 || ns[2] != e.N3 {
+				return false
+			}
+		case *Bar:
+			if len(ns) != 2 || ns[0] != e.N1 || ns[1] != e.N2 {
+				return false
+			}
+		default:
+			if !slices.Equal(ns, e.Nodes()) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Pattern returns the reduced system's sparsity pattern.

@@ -74,24 +74,30 @@ func NewPattern(n int, rows, cols []int) (*Pattern, []int, error) {
 		cnt[r]++
 	}
 	// Collapse duplicates into the CSR pattern while recording where
-	// each input coordinate scatters.
+	// each input coordinate scatters (reusing byCol, which is spent).
+	// ColIdx outlives the call in every CSR and plan built on the
+	// pattern, so it is filled in a second pass at exactly nnz rather
+	// than grown to the coordinate count.
 	p := &Pattern{N: n, RowPtr: make([]int, n+1)}
-	scatter := make([]int, m)
-	colIdx := make([]int, 0, m)
+	scatter := byCol
+	nnz := 0
 	prevRow, prevCol := -1, -1
 	for _, k := range order {
 		r, c := rows[k], cols[k]
 		if r != prevRow || c != prevCol {
-			colIdx = append(colIdx, c)
+			nnz++
 			p.RowPtr[r+1]++
 			prevRow, prevCol = r, c
 		}
-		scatter[k] = len(colIdx) - 1
+		scatter[k] = nnz - 1
 	}
 	for i := 0; i < n; i++ {
 		p.RowPtr[i+1] += p.RowPtr[i]
 	}
-	p.ColIdx = colIdx
+	p.ColIdx = make([]int, nnz)
+	for k, t := range scatter {
+		p.ColIdx[t] = cols[k]
+	}
 	return p, scatter, nil
 }
 
