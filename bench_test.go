@@ -340,18 +340,6 @@ func BenchmarkSequentialCG(b *testing.B) {
 	}
 }
 
-// BenchmarkBandedCholesky is the 1980s production direct solver baseline.
-func BenchmarkBandedCholesky(b *testing.B) {
-	k, rhs := benchSystem(b, 16)
-	banded := k.ToBanded()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := banded.SolveCholesky(rhs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkParallelCG16 is the distributed solver on 16 simulated
 // workers.
 func BenchmarkParallelCG16(b *testing.B) {
@@ -491,10 +479,10 @@ func BenchmarkSubstructureSolve(b *testing.B) {
 // solvers on the plate-16 fixture: cold is the full cholesky-rcm
 // pipeline per solve (symbolic + factor + solve, what every solve paid
 // before the plan layer), warm is a repeat solve riding a retained
-// factor (band and envelope storage), and refactor is the
-// values-changed path — in-place numeric refactorisation plus solve.
-// Warm and refactor run with zero steady-state allocations; the
-// ProfileNNZ metrics show band vs envelope storage.
+// factor, and refactor is the values-changed path — in-place numeric
+// refactorisation plus solve.  Warm and refactor run with zero
+// steady-state allocations; the profile-nnz metric is the envelope
+// storage the factor pays for.
 func BenchmarkDirectSolve(b *testing.B) {
 	k, rhs := benchSystem(b, 16)
 	newPlan := func(b *testing.B, opts linalg.PlanOpts) *linalg.DirectPlan {
@@ -518,18 +506,6 @@ func BenchmarkDirectSolve(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		plan := newPlan(b, linalg.PlanOpts{Ordering: linalg.OrderRCM})
-		out := linalg.NewVector(k.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.SolveInto(rhs, out, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(plan.ProfileNNZ()), "profile-nnz")
-	})
-	b.Run("warm-env", func(b *testing.B) {
-		plan := newPlan(b, linalg.PlanOpts{Ordering: linalg.OrderRCM, Storage: linalg.StorageEnvelope})
 		out := linalg.NewVector(k.N)
 		b.ReportAllocs()
 		b.ResetTimer()

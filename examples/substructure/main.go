@@ -29,7 +29,7 @@ func main() {
 	}
 	load := fem.EndLoad("gust", o, 0, -20000)
 
-	// Reference: the sequential banded Cholesky solve.
+	// Reference: the sequential envelope Cholesky solve.
 	ref, err := fem.Solve(context.Background(), model, load, fem.SolveOpts{})
 	if err != nil {
 		log.Fatal(err)

@@ -682,8 +682,8 @@ type SolveOpts = fem.SolveOpts
 
 // Solve assembles and solves a model/load set as SolveOpts directs —
 // sequential, NAVM-distributed, or substructured — through the solver
-// engine registry.  The zero SolveOpts runs the banded Cholesky
-// baseline.  All paths honour ctx: a cancelled solve returns an error
+// engine registry.  The zero SolveOpts runs the natural-order envelope
+// Cholesky baseline.  All paths honour ctx: a cancelled solve returns an error
 // wrapping ErrCancelled.  A model solved more than once keeps its
 // symbolic assembly between solves, rebuilt when its topology changes.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
@@ -740,20 +740,18 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 type Factorization = linalg.Factorization
 
 // DirectPlan is the symbolic state of a direct solve — ordering,
-// band/envelope profile, preallocated storage — computed once per
-// sparsity pattern and reused across factorisations.
+// envelope profile, preallocated storage — computed once per sparsity
+// pattern and reused across factorisations.
 type DirectPlan = linalg.DirectPlan
 
-// PlanOpts selects a DirectPlan's ordering (natural or RCM) and factor
-// storage (uniform band or skyline envelope).
+// PlanOpts selects a DirectPlan's ordering (natural or RCM); the factor
+// storage is always the envelope (skyline).
 type PlanOpts = linalg.PlanOpts
 
-// The DirectPlan ordering and storage selections.
+// The DirectPlan ordering selections.
 const (
-	OrderNatural    = linalg.OrderNatural
-	OrderRCM        = linalg.OrderRCM
-	StorageBand     = linalg.StorageBand
-	StorageEnvelope = linalg.StorageEnvelope
+	OrderNatural = linalg.OrderNatural
+	OrderRCM     = linalg.OrderRCM
 )
 
 // NewDirectPlan runs the symbolic phase of a direct solve over a
@@ -773,12 +771,13 @@ type FactorCache = linalg.FactorCache
 // The solver backend registry names, usable as SolveOpts.Backend, as a
 // SolveCommand.Method, and in the REPL's `solve ... method <name>`.
 const (
-	// BackendCholesky is sequential banded Cholesky — the baseline.
+	// BackendCholesky is sequential envelope (skyline) Cholesky — the
+	// baseline.
 	BackendCholesky = linalg.BackendCholesky
-	// BackendCholeskyRCM is banded Cholesky after RCM renumbering.
+	// BackendCholeskyRCM is envelope Cholesky after RCM renumbering.
 	BackendCholeskyRCM = linalg.BackendCholeskyRCM
-	// BackendCholeskyEnv is envelope (skyline) Cholesky after RCM: each
-	// row pays its own profile instead of the worst row's bandwidth.
+	// BackendCholeskyEnv is an alias of BackendCholeskyRCM, kept as REPL
+	// and wire syntax.
 	BackendCholeskyEnv = linalg.BackendCholeskyEnv
 	// BackendCG is (optionally preconditioned) conjugate gradients.
 	BackendCG = linalg.BackendCG

@@ -37,7 +37,7 @@ type Command interface {
 
 // Method selects a solver backend by registry name (see
 // linalg.Backends).  The zero value selects the interpreter's default
-// (banded Cholesky).  The parser validates names against the live
+// (envelope Cholesky).  The parser validates names against the live
 // registry, so a newly registered backend is immediately speakable.
 type Method string
 

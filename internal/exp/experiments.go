@@ -185,10 +185,10 @@ func E2SolverSpeedup(n int, workerCounts []int) (*Table, error) {
 // over a varying pool of worker PEs.  Expected shape: near-linear
 // makespan reduction while workers ≤ substructures — condensations are
 // mutually independent, so w workers carry ⌈8/w⌉ condensations each.
-// (The interior blocks are factored banded, so a single condensation is
-// no longer cubically expensive; the parallelism level is about
-// overlapping the independent condensations, not about beating the
-// direct baseline on a small plate.)
+// (The interior blocks are factored in envelope form, so a single
+// condensation is no longer cubically expensive; the parallelism level
+// is about overlapping the independent condensations, not about beating
+// the direct baseline on a small plate.)
 func E3Substructure(workerCounts []int) (*Table, error) {
 	const subs = 8
 	o := fem.RectGridOpts{NX: 24, NY: 6, W: 24, H: 6, Mat: fem.Steel(), ClampLeft: true}
@@ -762,7 +762,7 @@ func E13LatencyAblation(latencies []int64) (*Table, error) {
 }
 
 // E15RenumberingAblation ablates the node-numbering design choice behind
-// the direct-solve baseline: banded Cholesky cost grows with the square
+// the direct-solve baseline: profile Cholesky cost grows with the square
 // of the matrix bandwidth, so the 1980s pipeline always ran a
 // bandwidth-reducing reordering (reverse Cuthill–McKee) first.  Expected
 // shape: on a badly numbered mesh RCM cuts bandwidth and factorisation

@@ -353,6 +353,32 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 	}
 }
 
+// TestRunAllDeterministic renders every table twice and requires the
+// text to match, so the E-table output can be diffed between revisions.
+// E5 is excepted: its makespans at large K vary from run to run.
+func TestRunAllDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep in -short mode")
+	}
+	render := func() map[string]string {
+		tabs, err := RunAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, tab := range tabs {
+			out[tab.ID] = tab.String()
+		}
+		return out
+	}
+	first, second := render(), render()
+	for id, s := range first {
+		if id != "E5" && second[id] != s {
+			t.Errorf("table %s differs between runs:\n%s\n---\n%s", id, s, second[id])
+		}
+	}
+}
+
 func TestE15RCMFixesShuffledMesh(t *testing.T) {
 	tab, err := E15RenumberingAblation()
 	if err != nil {

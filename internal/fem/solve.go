@@ -17,8 +17,8 @@ import (
 // variant on that many simulated workers; otherwise the Backend runs
 // sequentially through the linalg solver registry.
 type SolveOpts struct {
-	// Backend names the solver engine ("" selects the banded Cholesky
-	// baseline); see linalg.Backends for the registry.
+	// Backend names the solver engine ("" selects the natural-order
+	// envelope Cholesky baseline); see linalg.Backends for the registry.
 	Backend string
 	// Precond names the preconditioner for iterative backends ("" for
 	// none); see linalg.Preconds.

@@ -126,9 +126,9 @@ type condensed struct {
 	schur *linalg.Dense
 	// fb is the condensed boundary load.
 	fb linalg.Vector
-	// chol (the banded Cholesky factor of K_ii) and kib allow internal
-	// back-substitution.
-	chol *linalg.Banded
+	// chol (the envelope Cholesky factor of K_ii) and kib allow
+	// internal back-substitution.
+	chol *linalg.Envelope
 	kib  *linalg.Dense
 	fi   linalg.Vector
 	// flops spent condensing (for cost attribution).
@@ -136,9 +136,9 @@ type condensed struct {
 }
 
 // condense performs static condensation of one substructure for one load
-// set.  K_ii is stored and factored in symmetric banded form: the
+// set.  K_ii is stored and factored in envelope (skyline) form: the
 // internal dofs of a vertical band are nearly contiguous in the mesh
-// numbering, so the interior block has a small local bandwidth and the
+// numbering, so each interior row has a short profile and the
 // factorisation costs O(ni·bw²) instead of the dense O(ni³).
 func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 	ni, nb := len(sub.Internal), len(sub.Boundary)
@@ -150,9 +150,12 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 	for i, d := range sub.Boundary {
 		idxB[d] = i
 	}
-	// Symbolic pass: the interior block's local half-bandwidth, from
+	// Symbolic pass: each interior row's first column, from
 	// connectivity alone.
-	bw := 0
+	first := make([]int, ni)
+	for i := range first {
+		first[i] = i
+	}
 	for _, ei := range sub.Elems {
 		dofs := ElementDOFs(m.Elements[ei])
 		for _, gi := range dofs {
@@ -161,17 +164,13 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 				continue
 			}
 			for _, gj := range dofs {
-				ji, jIsI := idxI[gj]
-				if !jIsI {
-					continue
-				}
-				if d := ii - ji; d > bw {
-					bw = d
+				if ji, jIsI := idxI[gj]; jIsI && ji < first[ii] {
+					first[ii] = ji
 				}
 			}
 		}
 	}
-	kii := linalg.NewBanded(ni, bw)
+	kii := linalg.NewEnvelope(first)
 	kib := linalg.NewDense(ni, nb)
 	kbb := linalg.NewDense(nb, nb)
 	st := &linalg.Stats{}
@@ -197,7 +196,7 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 				}
 				switch {
 				case isI && jIsI:
-					// Banded storage holds each symmetric pair once, so
+					// Envelope storage holds each symmetric pair once, so
 					// only the lower-triangle visit scatters (ke is
 					// symmetric; the upper visit is its mirror).
 					if ii >= ji {
@@ -225,13 +224,12 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 	}
 	c := &condensed{sub: sub, fi: fi, kib: kib}
 	if ni > 0 {
-		chol, err := kii.CholeskyFactor(st)
-		if err != nil {
+		if err := kii.CholeskyFactorInPlace(st); err != nil {
 			return nil, fmt.Errorf("fem: substructure interior not SPD: %w", err)
 		}
-		c.chol = chol
+		c.chol = kii
 		// S = K_bb - K_ibᵀ · (K_ii⁻¹ K_ib)
-		y := chol.CholeskySolveMatrix(kib, st) // ni×nb
+		y := kii.CholeskySolveMatrix(kib, st) // ni×nb
 		s := kib.Transpose().Mul(y, st)
 		for i := 0; i < nb; i++ {
 			for j := 0; j < nb; j++ {
@@ -240,7 +238,7 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 		}
 		// fb := -K_ibᵀ · K_ii⁻¹ fi  (applied loads on boundary added
 		// by the caller)
-		z := chol.CholeskySolve(fi, st)
+		z := kii.CholeskySolveInto(fi, nil, st)
 		corr := kib.Transpose().MulVec(z, nil, st)
 		fbv := linalg.NewVector(nb)
 		for i := range fbv {
@@ -390,9 +388,9 @@ func SolveSubstructuredWorkers(ctx context.Context, m *Model, s *Substructured, 
 		for i := range rhsI {
 			rhsI[i] = c.fi[i] - t[i]
 		}
-		ui := c.chol.CholeskySolve(rhsI, nil)
+		c.chol.CholeskySolveInto(rhsI, rhsI, nil)
 		for i, d := range c.sub.Internal {
-			u[d] = ui[i]
+			u[d] = rhsI[i]
 		}
 	}
 	// Condensation factors every interior block afresh each call.

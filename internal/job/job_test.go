@@ -375,6 +375,33 @@ func TestWaitHonoursContext(t *testing.T) {
 	}
 }
 
+// TestWaitPrefersFinishedResult waits on a finished job under an
+// already-cancelled ctx: both select cases are ready, and the stored
+// result must win every time.
+func TestWaitPrefersFinishedResult(t *testing.T) {
+	s := NewScheduler(1, nil)
+	defer s.Close()
+	want := &command.SolveResult{Model: "a", Set: "l"}
+	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		return want, nil
+	})
+	id, err := s.Submit(context.Background(), "eng", ex, solveOn("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		res, err := s.Wait(ctx, id)
+		if err != nil || res != command.Result(want) {
+			t.Fatalf("Wait #%d on a finished job under a cancelled ctx = %v, %v; want the stored result", i, res, err)
+		}
+	}
+}
+
 func TestJobControlVerbsRejected(t *testing.T) {
 	s := NewScheduler(1, nil)
 	defer s.Close()

@@ -603,7 +603,13 @@ func (s *Scheduler) Wait(ctx context.Context, id JobID) (command.Result, error) 
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return nil, errs.Cancelled(ctx)
+		// select picks at random among ready cases: a job that has
+		// already finished answers with its result, not the cancel.
+		select {
+		case <-j.done:
+		default:
+			return nil, errs.Cancelled(ctx)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

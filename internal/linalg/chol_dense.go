@@ -6,8 +6,10 @@ import (
 )
 
 // DenseChol is the Cholesky factorisation of a dense symmetric positive
-// definite matrix, kept for repeated solves — substructure condensation
-// solves K_ii against many right-hand sides (one per interface dof).
+// definite matrix, kept for repeated solves.  It is the reference kernel
+// the envelope factor is tested against: its sums run in the same
+// ascending order, and the extra terms it carries are products with
+// exact zeros, so envelope factors and solutions agree with it bitwise.
 type DenseChol struct {
 	n int
 	l *Dense // lower triangle, including diagonal

@@ -4,7 +4,7 @@ import "fmt"
 
 // Dense is a row-major dense matrix.  Element stiffness matrices and the
 // small interface systems produced by substructure condensation are dense;
-// the global FEM systems are stored banded or sparse.
+// the global FEM systems are stored sparse (CSR) or in envelope form.
 type Dense struct {
 	Rows, Cols int
 	data       []float64

@@ -56,15 +56,15 @@ type Solver interface {
 
 // The built-in backend names.
 const (
-	// BackendCholesky is sequential banded Cholesky in the mesh's
-	// natural numbering — the 1980s production baseline.
+	// BackendCholesky is sequential envelope (skyline) Cholesky in the
+	// mesh's natural numbering — the 1980s production baseline.
 	BackendCholesky = "cholesky"
-	// BackendCholeskyRCM is banded Cholesky after reverse Cuthill–McKee
-	// bandwidth reduction — the full 1980s direct-solve pipeline.
+	// BackendCholeskyRCM is envelope Cholesky after reverse
+	// Cuthill–McKee profile reduction — the full 1980s direct-solve
+	// pipeline.
 	BackendCholeskyRCM = "cholesky-rcm"
-	// BackendCholeskyEnv is envelope (skyline) Cholesky after RCM: each
-	// row pays for its own profile instead of the worst row's bandwidth,
-	// so irregular meshes stop subsidising their widest row.
+	// BackendCholeskyEnv is an alias of BackendCholeskyRCM, kept because
+	// the name is REPL and wire syntax and an experiment-table row.
 	BackendCholeskyEnv = "cholesky-env"
 	// BackendCG is (optionally preconditioned) conjugate gradients.
 	BackendCG = "cg"
@@ -134,7 +134,7 @@ func HasBackend(name string) bool {
 func init() {
 	RegisterSolver(choleskySolver{name: BackendCholesky})
 	RegisterSolver(choleskySolver{name: BackendCholeskyRCM, opts: PlanOpts{Ordering: OrderRCM}})
-	RegisterSolver(choleskySolver{name: BackendCholeskyEnv, opts: PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}})
+	RegisterSolver(choleskySolver{name: BackendCholeskyEnv, opts: PlanOpts{Ordering: OrderRCM}})
 	RegisterSolver(cgSolver{})
 	RegisterSolver(jacobiSolver{})
 	RegisterSolver(sorSolver{})
@@ -177,8 +177,8 @@ func DirectSolveInfo(backend string, a *CSR, x, b Vector, st *Stats) Info {
 	return Info{Backend: backend, Residual: resid, Flops: st.Flops, Direct: true}
 }
 
-// choleskySolver is the direct backend family: banded or envelope
-// storage, natural or RCM ordering, selected by its PlanOpts.  Each
+// choleskySolver is the direct backend family: envelope Cholesky under
+// natural or RCM ordering, selected by its PlanOpts.  Each
 // Solve is a one-shot DirectPlan — the registry backends are stateless;
 // the factor caches above this layer are what make solves warm.
 type choleskySolver struct {

@@ -8,17 +8,21 @@ import (
 // Envelope is a symmetric positive-definite matrix in lower envelope
 // (skyline) storage: row i keeps the contiguous run of columns
 // first[i]..i, where first[i] is the row's first structural non-zero.
-// Uniform banded storage charges every row for the worst row's
-// bandwidth; the envelope charges each row for its own profile, which
-// is what makes the direct baseline competitive on irregular meshes
-// where a handful of wide rows would otherwise inflate the whole band.
-// Cholesky fill is confined to the envelope (a row's first non-zero
-// never moves left during factorisation), so the factor lives in the
-// same storage the matrix does.
+// It is the storage of every direct factorisation in the repository —
+// DirectPlan's global systems and substructure condensation's interior
+// blocks.  Each row pays for its own profile rather than the worst
+// row's bandwidth, so irregular meshes stop subsidising their widest
+// row.  Cholesky fill is confined to the envelope (a row's first
+// non-zero never moves left during factorisation), so the factor lives
+// in the same storage the matrix does.
 type Envelope struct {
 	N int
 	// first[i] is the first stored column of row i (first[i] <= i).
 	first []int
+	// last[j] is the last row whose run reaches column j (last[j] >= j)
+	// — the extent of column j of the factor, walked by the backward
+	// sweep.
+	last []int
 	// ptr[i] is the offset of row i's run in env; the run is
 	// env[ptr[i] : ptr[i+1]], ordered by column, diagonal last.
 	ptr []int
@@ -26,15 +30,26 @@ type Envelope struct {
 }
 
 // NewEnvelope returns a zero matrix of order len(first) with the given
-// row profile.  first[i] must lie in [0, i].
+// row profile.  first[i] must lie in [0, i]; the matrix keeps first, so
+// the caller must not modify it afterwards.
 func NewEnvelope(first []int) *Envelope {
 	n := len(first)
-	e := &Envelope{N: n, first: append([]int(nil), first...), ptr: make([]int, n+1)}
+	e := &Envelope{N: n, first: first, last: make([]int, n), ptr: make([]int, n+1)}
 	for i, f := range e.first {
 		if f < 0 || f > i {
 			panic(fmt.Errorf("%w: envelope row %d starts at %d", ErrDimension, i, f))
 		}
 		e.ptr[i+1] = e.ptr[i] + (i - f + 1)
+		// Row i reaches every column from f on: record it at f, then a
+		// running maximum carries it across f..i.
+		if i > e.last[f] {
+			e.last[f] = i
+		}
+	}
+	for j := 1; j < n; j++ {
+		if e.last[j-1] > e.last[j] {
+			e.last[j] = e.last[j-1]
+		}
 	}
 	e.env = make([]float64, e.ptr[n])
 	return e
@@ -44,8 +59,14 @@ func NewEnvelope(first []int) *Envelope {
 // lower triangle including the diagonal).
 func (e *Envelope) NNZ() int { return len(e.env) }
 
-// First returns the first stored column of row i.
-func (e *Envelope) First(i int) int { return e.first[i] }
+// index returns the flat offset of element (i,j), i >= j, in env.
+// Outside the envelope it panics: the profile is fixed at construction.
+func (e *Envelope) index(i, j int) int {
+	if j < e.first[i] {
+		panic(fmt.Errorf("linalg: Envelope (%d,%d) outside profile (row starts at %d)", i, j, e.first[i]))
+	}
+	return e.ptr[i] + j - e.first[i]
+}
 
 // At returns element (i,j), exploiting symmetry; outside the envelope
 // it is 0.
@@ -59,32 +80,29 @@ func (e *Envelope) At(i, j int) float64 {
 	return e.env[e.ptr[i]+j-e.first[i]]
 }
 
-// Set assigns element (i,j) (and by symmetry (j,i)).  Setting outside
-// the envelope panics: the profile is fixed at construction.
+// Set assigns element (i,j) (and by symmetry (j,i)).
 func (e *Envelope) Set(i, j int, v float64) {
 	if i < j {
 		i, j = j, i
 	}
-	if j < e.first[i] {
-		panic(fmt.Errorf("linalg: Envelope.Set(%d,%d) outside profile (row starts at %d)", i, j, e.first[i]))
-	}
-	e.env[e.ptr[i]+j-e.first[i]] = v
+	e.env[e.index(i, j)] = v
 }
 
-// Fill zeroes every stored entry, keeping the profile.
-func (e *Envelope) Fill(x float64) {
-	for i := range e.env {
-		e.env[i] = x
+// AddAt adds v to element (i,j) (and by symmetry (j,i)); the assembly
+// primitive.
+func (e *Envelope) AddAt(i, j int, v float64) {
+	if i < j {
+		i, j = j, i
 	}
+	e.env[e.index(i, j)] += v
 }
 
 // CholeskyFactorInPlace overwrites the stored values with the Cholesky
 // factor L (the matrix equals L·Lᵀ).  It fails if the matrix is not
 // positive definite.  Flop counts are recorded in st.  The inner sums
-// run over exactly the columns both rows store, ascending; the terms
-// skipped relative to uniform banded Cholesky are products with exact
-// zeros, so the factor agrees with the banded factor bitwise (the
-// solves differ in summation order, so solutions agree to rounding).
+// run over exactly the columns both rows store, ascending; the terms a
+// dense (or uniformly banded) Cholesky would add are products with
+// exact zeros, so the factor agrees with DenseChol's bitwise.
 func (e *Envelope) CholeskyFactorInPlace(st *Stats) error {
 	var flops int64
 	for i := 0; i < e.N; i++ {
@@ -126,7 +144,11 @@ func (e *Envelope) CholeskyFactorInPlace(st *Stats) error {
 
 // CholeskySolveInto solves L·Lᵀ·x = rhs given the factor from
 // CholeskyFactorInPlace, writing into out (allocated when nil; may
-// alias rhs to solve in place).
+// alias rhs to solve in place).  Both sweeps are row-oriented: each
+// unknown is one ascending sum, in DenseChol's order, so the solution
+// agrees with DenseChol's bitwise.  (A column-oriented backward sweep
+// reads the row-stored factor contiguously but sums in another order,
+// moving the answers' last bits.)
 func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 	if len(rhs) != e.N {
 		panic(fmt.Errorf("%w: Envelope.CholeskySolveInto order %d with rhs %d", ErrDimension, e.N, len(rhs)))
@@ -141,31 +163,54 @@ func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 	if e.N > 0 && &y[0] != &rhs[0] {
 		copy(y, rhs)
 	}
-	var flops int64
-	// Forward: L·y = rhs, row-oriented.
+	first, last, ptr, env := e.first, e.last, e.ptr, e.env
+	// Forward: L·y = rhs.
 	for i := 0; i < e.N; i++ {
-		fi := e.first[i]
-		base := e.ptr[i] - fi
+		fi := first[i]
+		row := env[ptr[i]:ptr[i+1]]
 		s := y[i]
-		for k := fi; k < i; k++ {
-			s -= e.env[base+k] * y[k]
-			flops += 2
+		for k, v := range row[:len(row)-1] {
+			s -= v * y[fi+k]
 		}
-		y[i] = s / e.env[e.ptr[i+1]-1]
-		flops++
+		y[i] = s / row[len(row)-1]
 	}
-	// Backward: Lᵀ·x = y, column-oriented over the row-stored factor.
+	// Backward: Lᵀ·x = y.  Row i of Lᵀ is column i of L, stored in the
+	// rows k = i+1..last[i] whose runs reach column i.
 	for i := e.N - 1; i >= 0; i-- {
-		fi := e.first[i]
-		base := e.ptr[i] - fi
-		x := y[i] / e.env[e.ptr[i+1]-1]
-		flops++
-		y[i] = x
-		for k := fi; k < i; k++ {
-			y[k] -= e.env[base+k] * x
-			flops += 2
+		s := y[i]
+		lo, hi := i+1, last[i]+1
+		rows, ys := ptr[lo:hi], y[lo:hi]
+		for d, fk := range first[lo:hi] {
+			if fk <= i {
+				s -= env[rows[d]+i-fk] * ys[d]
+			}
+		}
+		y[i] = s / env[ptr[i+1]-1]
+	}
+	// Each sweep spends a multiply-add per off-diagonal entry and a
+	// divide per row.
+	st.addFlops(int64(4*(len(env)-e.N) + 2*e.N))
+	return y
+}
+
+// CholeskySolveMatrix solves A·X = C column by column given the factor
+// from CholeskyFactorInPlace, reusing one column buffer across all
+// right-hand sides.  Substructure condensation solves each interior
+// block against one right-hand side per boundary dof.
+func (e *Envelope) CholeskySolveMatrix(c *Dense, st *Stats) *Dense {
+	if c.Rows != e.N {
+		panic(fmt.Errorf("%w: Envelope.CholeskySolveMatrix order %d with %d rows", ErrDimension, e.N, c.Rows))
+	}
+	out := NewDense(e.N, c.Cols)
+	col := NewVector(e.N)
+	for j := 0; j < c.Cols; j++ {
+		for i := 0; i < e.N; i++ {
+			col[i] = c.At(i, j)
+		}
+		e.CholeskySolveInto(col, col, st)
+		for i := 0; i < e.N; i++ {
+			out.Set(i, j, col[i])
 		}
 	}
-	st.addFlops(flops)
-	return y
+	return out
 }

@@ -1,5 +1,5 @@
 // The factor-once layer of the direct solvers: a DirectPlan separates
-// the symbolic work of a banded/envelope Cholesky solve — ordering,
+// the symbolic work of an envelope Cholesky solve — ordering,
 // profile discovery, storage allocation — from the numeric work of
 // factoring and back-substituting, exactly as Pattern does for
 // assembly.  The paper's production workload is many solves of one
@@ -45,26 +45,14 @@ const (
 	OrderRCM
 )
 
-// StorageKind selects the factor storage of a DirectPlan.
-type StorageKind int
-
-const (
-	// StorageBand stores a uniform band: every row pays the worst row's
-	// bandwidth.
-	StorageBand StorageKind = iota
-	// StorageEnvelope stores the per-row skyline profile.
-	StorageEnvelope
-)
-
-// PlanOpts selects a DirectPlan's ordering and storage.  The zero value
-// is the natural-order banded baseline.
+// PlanOpts selects a DirectPlan's ordering.  The zero value is the
+// natural-order baseline.  The factor storage is always the envelope.
 type PlanOpts struct {
 	Ordering Ordering
-	Storage  StorageKind
 }
 
 // DirectPlan is the symbolic state of a direct solve, computed once per
-// sparsity pattern: the permutation, the band or envelope profile, the
+// sparsity pattern: the permutation, the envelope profile, the
 // preallocated factor storage, a scatter map from CSR values into that
 // storage, and the permute scratch.  Refactor and SolveInto are the
 // numeric phase: both are allocation-free in steady state, and a warm
@@ -72,9 +60,8 @@ type PlanOpts struct {
 // performed right after the factorisation.  A plan's methods are not
 // safe for concurrent use (FactorCache adds the locking).
 type DirectPlan struct {
-	n    int
-	nnz  int
-	opts PlanOpts
+	n   int
+	nnz int
 	// rowPtr and colIdx are the sparsity pattern the plan was built
 	// from (shared with the source CSR, immutable); Refactor checks
 	// incoming matrices against them — equal order and nnz are not
@@ -85,7 +72,6 @@ type DirectPlan struct {
 	// scatter[k] is the flat index in the storage value array that CSR
 	// value k lands on, -1 for strictly upper-triangle entries.
 	scatter []int32
-	band    *Banded
 	env     *Envelope
 	// px is the permute scratch; cols is the SolveMatrixInto column
 	// scratch, grown on first use.
@@ -104,7 +90,7 @@ func NewDirectPlan(a *CSR, opts PlanOpts) (*DirectPlan, error) {
 		return nil, fmt.Errorf("%w: NewDirectPlan order %d", ErrDimension, a.N)
 	}
 	p := &DirectPlan{
-		n: a.N, nnz: a.NNZ(), opts: opts,
+		n: a.N, nnz: a.NNZ(),
 		rowPtr: a.RowPtr, colIdx: a.ColIdx,
 		px: NewVector(a.N),
 	}
@@ -121,38 +107,19 @@ func NewDirectPlan(a *CSR, opts PlanOpts) (*DirectPlan, error) {
 		}
 		return p.inv[i]
 	}
-	switch opts.Storage {
-	case StorageBand:
-		w := 0
-		for i := 0; i < a.N; i++ {
-			pi := newIdx(i)
-			for _, j := range a.RowColumns(i) {
-				if d := pi - newIdx(j); d > w {
-					w = d
-				} else if -d > w {
-					w = -d
-				}
-			}
-		}
-		p.band = NewBanded(a.N, w)
-	case StorageEnvelope:
-		first := make([]int, a.N)
-		for i := range first {
-			first[i] = i
-		}
-		for i := 0; i < a.N; i++ {
-			pi := newIdx(i)
-			for _, j := range a.RowColumns(i) {
-				pj := newIdx(j)
-				if pj <= pi && pj < first[pi] {
-					first[pi] = pj
-				}
-			}
-		}
-		p.env = NewEnvelope(first)
-	default:
-		return nil, errs.Usage("unknown factor storage %d", opts.Storage)
+	first := make([]int, a.N)
+	for i := range first {
+		first[i] = i
 	}
+	for i := 0; i < a.N; i++ {
+		pi := newIdx(i)
+		for _, j := range a.RowColumns(i) {
+			if pj := newIdx(j); pj < first[pi] {
+				first[pi] = pj
+			}
+		}
+	}
+	p.env = NewEnvelope(first)
 	// Scatter map: lower-triangle CSR values to flat storage indices.
 	p.scatter = make([]int32, p.nnz)
 	for i := 0; i < a.N; i++ {
@@ -163,11 +130,7 @@ func NewDirectPlan(a *CSR, opts PlanOpts) (*DirectPlan, error) {
 				p.scatter[k] = -1
 				continue
 			}
-			if p.band != nil {
-				p.scatter[k] = int32(pi*(p.band.Bandwidth+1) + (pi - pj))
-			} else {
-				p.scatter[k] = int32(p.env.ptr[pi] + pj - p.env.first[pi])
-			}
+			p.scatter[k] = int32(p.env.index(pi, pj))
 		}
 	}
 	return p, nil
@@ -176,40 +139,10 @@ func NewDirectPlan(a *CSR, opts PlanOpts) (*DirectPlan, error) {
 // N returns the system order.
 func (p *DirectPlan) N() int { return p.n }
 
-// Opts returns the plan's ordering and storage selection.
-func (p *DirectPlan) Opts() PlanOpts { return p.opts }
-
 // ProfileNNZ returns the stored lower-triangle entry count of the
-// factor storage — n·(bandwidth+1) for a band, the skyline profile for
-// an envelope — the storage the factorisation pays for.
-func (p *DirectPlan) ProfileNNZ() int {
-	if p.band != nil {
-		return p.band.N * (p.band.Bandwidth + 1)
-	}
-	return p.env.NNZ()
-}
-
-// Bandwidth returns the half-bandwidth of the permuted system.
-func (p *DirectPlan) Bandwidth() int {
-	if p.band != nil {
-		return p.band.Bandwidth
-	}
-	w := 0
-	for i, f := range p.env.first {
-		if i-f > w {
-			w = i - f
-		}
-	}
-	return w
-}
-
-// values returns the flat storage value array.
-func (p *DirectPlan) values() []float64 {
-	if p.band != nil {
-		return p.band.band
-	}
-	return p.env.env
-}
+// factor's envelope (skyline) profile — the storage the factorisation
+// pays for.
+func (p *DirectPlan) ProfileNNZ() int { return p.env.NNZ() }
 
 // MatchesPattern reports whether a has exactly the sparsity pattern the
 // plan was built from.  Patterns built from one linalg.Pattern share
@@ -252,7 +185,7 @@ func (p *DirectPlan) Refactor(a *CSR, st *Stats) error {
 			ErrDimension, a.N, a.NNZ(), p.n, p.nnz)
 	}
 	p.factored = false
-	vals := p.values()
+	vals := p.env.env
 	for i := range vals {
 		vals[i] = 0
 	}
@@ -261,13 +194,7 @@ func (p *DirectPlan) Refactor(a *CSR, st *Stats) error {
 			vals[t] = a.Val[k]
 		}
 	}
-	var err error
-	if p.band != nil {
-		err = p.band.CholeskyFactorInPlace(st)
-	} else {
-		err = p.env.CholeskyFactorInPlace(st)
-	}
-	if err != nil {
+	if err := p.env.CholeskyFactorInPlace(st); err != nil {
 		return err
 	}
 	p.factored = true
@@ -297,21 +224,13 @@ func (p *DirectPlan) SolveInto(rhs, out Vector, st *Stats) (Vector, error) {
 		return nil, fmt.Errorf("%w: SolveInto order %d into %d", ErrDimension, p.n, len(out))
 	}
 	if p.perm == nil {
-		if p.band != nil {
-			p.band.CholeskySolveInto(rhs, out, st)
-		} else {
-			p.env.CholeskySolveInto(rhs, out, st)
-		}
+		p.env.CholeskySolveInto(rhs, out, st)
 		return out, nil
 	}
 	for i, oldI := range p.perm {
 		p.px[i] = rhs[oldI]
 	}
-	if p.band != nil {
-		p.band.CholeskySolveInto(p.px, p.px, st)
-	} else {
-		p.env.CholeskySolveInto(p.px, p.px, st)
-	}
+	p.env.CholeskySolveInto(p.px, p.px, st)
 	for i, oldI := range p.perm {
 		out[oldI] = p.px[i]
 	}
@@ -360,10 +279,8 @@ func PlanOptsFor(backend string) (PlanOpts, bool) {
 	switch backend {
 	case "", BackendCholesky:
 		return PlanOpts{}, true
-	case BackendCholeskyRCM:
+	case BackendCholeskyRCM, BackendCholeskyEnv:
 		return PlanOpts{Ordering: OrderRCM}, true
-	case BackendCholeskyEnv:
-		return PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}, true
 	default:
 		return PlanOpts{}, false
 	}

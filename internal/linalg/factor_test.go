@@ -27,6 +27,18 @@ func shuffled(t *testing.T, m *CSR) *CSR {
 	return pm
 }
 
+// denseCholSolve is the reference direct solve: DenseChol over the
+// dense expansion.  Its sums run in the envelope kernel's order (the
+// extra terms are products with exact zeros), so envelope solutions
+// match it bitwise.
+func denseCholSolve(m *CSR, b Vector, st *Stats) (Vector, error) {
+	c, err := CholeskyDense(m.ToDense(), st)
+	if err != nil {
+		return nil, err
+	}
+	return c.Solve(b, st), nil
+}
+
 func rhsFor(m *CSR) Vector {
 	b := NewVector(m.N)
 	for i := range b {
@@ -35,17 +47,18 @@ func rhsFor(m *CSR) Vector {
 	return b
 }
 
-// TestDirectPlanMatchesBaselines pins the plan paths to the historical
-// pipelines bit for bit: natural banded against ToBanded+SolveCholesky,
-// and RCM banded against the explicit Permute/ToBanded/Unpermute
-// pipeline the pre-plan SolveCholeskyRCM ran.
+// TestDirectPlanMatchesBaselines pins the plan paths bit for bit to the
+// answers of the uniform-band baselines they replaced, through the
+// DenseChol reference that sums in the same order: natural order
+// against a dense solve, and RCM against the explicit
+// Permute/solve/Unpermute pipeline the pre-plan SolveCholeskyRCM ran.
 func TestDirectPlanMatchesBaselines(t *testing.T) {
 	m := poisson2D(9)
 	b := rhsFor(m)
 
 	t.Run("natural-band", func(t *testing.T) {
 		stRef := &Stats{}
-		ref, err := m.ToBanded().SolveCholesky(b, stRef)
+		ref, err := denseCholSolve(m, b, stRef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +79,8 @@ func TestDirectPlanMatchesBaselines(t *testing.T) {
 				t.Fatalf("plan solution differs at %d: %v vs %v", i, x[i], ref[i])
 			}
 		}
-		if st.Flops != stRef.Flops {
-			t.Errorf("plan flops %d, baseline %d", st.Flops, stRef.Flops)
+		if st.Flops == 0 || st.Flops >= stRef.Flops {
+			t.Errorf("plan flops %d, want fewer than the dense reference's %d", st.Flops, stRef.Flops)
 		}
 	})
 
@@ -78,7 +91,7 @@ func TestDirectPlanMatchesBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		px, err := pm.ToBanded().SolveCholesky(PermuteVector(b, perm), nil)
+		px, err := denseCholSolve(pm, PermuteVector(b, perm), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,9 +108,11 @@ func TestDirectPlanMatchesBaselines(t *testing.T) {
 	})
 }
 
-// TestEnvelopeAgreesWithBand checks the skyline path against the banded
-// path on regular and badly numbered systems, and that the envelope
-// profile never exceeds (and on the shuffled system beats) the band.
+// TestEnvelopeAgreesWithBand checks the skyline path against the
+// uniform-band arithmetic on regular and badly numbered systems: the
+// envelope profile never exceeds the band's n·(bw+1) entries, and factor
+// and solution equal DenseChol's bitwise (DenseChol sums in the band
+// kernel's order; the terms the envelope skips are exact zeros).
 func TestEnvelopeAgreesWithBand(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -108,41 +123,40 @@ func TestEnvelopeAgreesWithBand(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := rhsFor(tc.m)
-			band, err := NewDirectPlan(tc.m, PlanOpts{Ordering: OrderRCM})
+			env, err := NewDirectPlan(tc.m, PlanOpts{Ordering: OrderRCM})
 			if err != nil {
-				t.Fatal(err)
-			}
-			env, err := NewDirectPlan(tc.m, PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := band.Refactor(tc.m, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := env.Refactor(tc.m, nil); err != nil {
 				t.Fatal(err)
 			}
-			if env.ProfileNNZ() > band.ProfileNNZ() {
-				t.Errorf("envelope nnz %d exceeds band nnz %d", env.ProfileNNZ(), band.ProfileNNZ())
-			}
-			xb, err := band.SolveInto(b, nil, nil)
+			perm := RCM(tc.m)
+			pm, err := tc.m.Permute(perm)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if band := pm.N * (pm.Bandwidth() + 1); env.ProfileNNZ() > band {
+				t.Errorf("envelope nnz %d exceeds band nnz %d", env.ProfileNNZ(), band)
+			}
+			ref, err := CholeskyDense(pm.ToDense(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.m.N; i++ {
+				for j := 0; j <= i; j++ {
+					if rv, ev := ref.l.At(i, j), env.env.At(i, j); rv != ev {
+						t.Fatalf("factor differs at (%d,%d): reference %v env %v", i, j, rv, ev)
+					}
+				}
 			}
 			xe, err := env.SolveInto(b, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := MaxAbsDiff(xb, xe); d > 1e-10 {
-				t.Errorf("envelope vs band solutions differ by %g", d)
-			}
-			// The factors themselves agree bitwise (same sums; skipped
-			// terms are exact zeros).
-			for i := 0; i < tc.m.N; i++ {
-				for j := env.env.First(i); j <= i; j++ {
-					if bv, ev := band.band.At(i, j), env.env.At(i, j); bv != ev {
-						t.Fatalf("factor differs at (%d,%d): band %v env %v", i, j, bv, ev)
-					}
+			xr := UnpermuteVector(ref.Solve(PermuteVector(b, perm), nil), perm)
+			for i := range xr {
+				if xe[i] != xr[i] {
+					t.Fatalf("envelope solution differs at %d: %v vs reference %v", i, xe[i], xr[i])
 				}
 			}
 		})
@@ -159,7 +173,6 @@ func TestDirectPlanWarmBitIdentical(t *testing.T) {
 	for _, po := range []PlanOpts{
 		{},
 		{Ordering: OrderRCM},
-		{Ordering: OrderRCM, Storage: StorageEnvelope},
 	} {
 		plan, err := NewDirectPlan(m, po)
 		if err != nil {
@@ -231,7 +244,7 @@ func TestDirectPlanRefactorTracksValues(t *testing.T) {
 
 // TestDirectPlanWarmAllocationFree pins the steady-state contract: with
 // the plan warm, Refactor plus SolveInto into a caller buffer allocates
-// nothing, for both storage kinds — the regression behind the old
+// nothing, under both orderings — the regression behind the old
 // pipeline's 631 allocs per cholesky-rcm solve.
 func TestDirectPlanWarmAllocationFree(t *testing.T) {
 	m := poisson2D(10)
@@ -240,8 +253,8 @@ func TestDirectPlanWarmAllocationFree(t *testing.T) {
 		name string
 		po   PlanOpts
 	}{
-		{"band-rcm", PlanOpts{Ordering: OrderRCM}},
-		{"env-rcm", PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}},
+		{"env-natural", PlanOpts{}},
+		{"env-rcm", PlanOpts{Ordering: OrderRCM}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan, err := NewDirectPlan(m, tc.po)
@@ -402,9 +415,9 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	}
 }
 
-// TestCholeskyEnvBackend checks the new registry backend end to end:
-// selectable by name, agrees with the banded baseline, rejects
-// preconditioners, and honours cancellation.
+// TestCholeskyEnvBackend checks the alias backend end to end:
+// selectable by name, bit-identical to cholesky-rcm (whose plan it
+// runs), rejects preconditioners, and honours cancellation.
 func TestCholeskyEnvBackend(t *testing.T) {
 	m := poisson2D(8)
 	b := rhsFor(m)
@@ -412,7 +425,7 @@ func TestCholeskyEnvBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := m.ToBanded().SolveCholesky(b, nil)
+	ref, err := SolveCholeskyRCM(m, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,8 +433,8 @@ func TestCholeskyEnvBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxAbsDiff(x, ref); d > 1e-10 {
-		t.Errorf("cholesky-env differs from cholesky by %g", d)
+	if d := MaxAbsDiff(x, ref); d != 0 {
+		t.Errorf("cholesky-env differs from cholesky-rcm by %g", d)
 	}
 	if !info.Direct || !info.Refactored || info.Backend != BackendCholeskyEnv {
 		t.Errorf("info = %+v", info)
@@ -485,7 +498,7 @@ func TestFactorCacheRejectsPatternImpostor(t *testing.T) {
 	if !refac {
 		t.Error("pattern change did not rebuild the plan")
 	}
-	want, err := a2.ToBanded().SolveCholesky(b, nil)
+	want, err := denseCholSolve(a2, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,59 +213,32 @@ func TestDenseSolveGaussSingular(t *testing.T) {
 	}
 }
 
+// The TestBanded* tests drive banded (tridiagonal) matrices through
+// envelope storage, the factor storage of every direct solve.
+
 func TestBandedAtSetSymmetry(t *testing.T) {
-	b := NewBanded(4, 1)
-	b.Set(1, 0, -1)
-	b.Set(1, 1, 2)
-	if b.At(0, 1) != -1 {
-		t.Errorf("symmetric At = %g, want -1", b.At(0, 1))
+	e := NewEnvelope([]int{0, 0, 1, 2})
+	e.Set(1, 0, -1)
+	e.Set(1, 1, 2)
+	if e.At(0, 1) != -1 {
+		t.Errorf("symmetric At = %g, want -1", e.At(0, 1))
 	}
-	if b.At(0, 3) != 0 {
-		t.Errorf("outside band At = %g, want 0", b.At(0, 3))
+	if e.At(0, 3) != 0 {
+		t.Errorf("outside profile At = %g, want 0", e.At(0, 3))
 	}
-	b.AddAt(1, 1, 3)
-	if b.At(1, 1) != 5 {
-		t.Errorf("AddAt = %g, want 5", b.At(1, 1))
+	e.AddAt(1, 1, 3)
+	if e.At(1, 1) != 5 {
+		t.Errorf("AddAt = %g, want 5", e.At(1, 1))
 	}
 }
 
 func TestBandedSetOutsideBandPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Set outside band did not panic")
+			t.Error("Set outside profile did not panic")
 		}
 	}()
-	NewBanded(5, 1).Set(4, 0, 1)
-}
-
-func TestBandedBandwidthClamped(t *testing.T) {
-	b := NewBanded(3, 10)
-	if b.Bandwidth != 2 {
-		t.Errorf("Bandwidth = %d, want clamped 2", b.Bandwidth)
-	}
-}
-
-func TestBandedMulVecMatchesDense(t *testing.T) {
-	n := 8
-	b := NewBanded(n, 2)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n; i++ {
-		b.Set(i, i, 4+rng.Float64())
-		for j := i - 2; j < i; j++ {
-			if j >= 0 {
-				b.Set(i, j, rng.Float64()-0.5)
-			}
-		}
-	}
-	x := NewVector(n)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	got := b.MulVec(x, nil, nil)
-	want := b.ToDense().MulVec(x, nil, nil)
-	if d := MaxAbsDiff(got, want); d > 1e-12 {
-		t.Errorf("banded MulVec differs from dense by %g", d)
-	}
+	NewEnvelope([]int{0, 0, 1, 2, 3}).Set(4, 0, 1)
 }
 
 func TestBandedCholeskySolves1DPoisson(t *testing.T) {
@@ -274,14 +247,20 @@ func TestBandedCholeskySolves1DPoisson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := m.ToBanded()
 	want := NewVector(n)
 	for i := range want {
 		want[i] = float64(i%5) - 2
 	}
-	rhs := b.MulVec(want, nil, nil)
+	rhs := m.MulVec(want, nil, nil)
+	plan, err := NewDirectPlan(m, PlanOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := &Stats{}
-	x, err := b.SolveCholesky(rhs, st)
+	if err := plan.Refactor(m, st); err != nil {
+		t.Fatal(err)
+	}
+	x, err := plan.SolveInto(rhs, nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +273,11 @@ func TestBandedCholeskySolves1DPoisson(t *testing.T) {
 }
 
 func TestBandedCholeskyNotPositiveDefinite(t *testing.T) {
-	b := NewBanded(2, 1)
-	b.Set(0, 0, 1)
-	b.Set(1, 0, 5)
-	b.Set(1, 1, 1) // pivot 1 - 25 < 0
-	if _, err := b.CholeskyFactor(nil); err == nil {
+	e := NewEnvelope([]int{0, 0})
+	e.Set(0, 0, 1)
+	e.Set(1, 0, 5)
+	e.Set(1, 1, 1) // pivot 1 - 25 < 0
+	if err := e.CholeskyFactorInPlace(nil); err == nil {
 		t.Error("indefinite matrix factored without error")
 	}
 }
@@ -392,18 +371,6 @@ func TestCSRDiagonalSymmetryBandwidth(t *testing.T) {
 	}
 }
 
-func TestCSRToBandedRoundTrip(t *testing.T) {
-	m := poisson2D(4)
-	b := m.ToBanded()
-	for i := 0; i < m.N; i++ {
-		for j := 0; j < m.N; j++ {
-			if b.At(i, j) != m.At(i, j) {
-				t.Fatalf("ToBanded mismatch at (%d,%d): %g vs %g", i, j, b.At(i, j), m.At(i, j))
-			}
-		}
-	}
-}
-
 // Property: Dot is symmetric and bilinear in its first argument.
 func TestQuickDotProperties(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -432,22 +399,32 @@ func TestQuickCholeskyMatchesGauss(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz)%14 + 2
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBanded(n, 1)
+		first := make([]int, n)
+		d := NewDense(n, n)
 		for i := 0; i < n; i++ {
-			b.Set(i, i, 3+rng.Float64())
+			d.Set(i, i, 3+rng.Float64())
 			if i > 0 {
-				b.Set(i, i-1, rng.Float64()-0.5)
+				first[i] = i - 1
+				v := rng.Float64() - 0.5
+				d.Set(i, i-1, v)
+				d.Set(i-1, i, v)
+			}
+		}
+		e := NewEnvelope(first)
+		for i := 0; i < n; i++ {
+			for j := first[i]; j <= i; j++ {
+				e.Set(i, j, d.At(i, j))
 			}
 		}
 		rhs := NewVector(n)
 		for i := range rhs {
 			rhs[i] = rng.Float64()*2 - 1
 		}
-		xc, err := b.SolveCholesky(rhs, nil)
-		if err != nil {
+		if err := e.CholeskyFactorInPlace(nil); err != nil {
 			return false
 		}
-		xg, err := b.ToDense().SolveGauss(rhs, nil)
+		xc := e.CholeskySolveInto(rhs, nil, nil)
+		xg, err := d.SolveGauss(rhs, nil)
 		if err != nil {
 			return false
 		}

@@ -7,8 +7,9 @@ import (
 // RCM computes the reverse Cuthill–McKee ordering of a structurally
 // symmetric sparse matrix: perm[newIndex] = oldIndex.  RCM was the
 // standard bandwidth-reducing preprocessing of 1980s finite element
-// codes — banded Cholesky cost grows with the square of the bandwidth,
-// so a good numbering decides whether the direct baseline is viable.
+// codes — profile (skyline) Cholesky cost grows with the square of the
+// row profiles, so a good numbering decides whether the direct baseline
+// is viable.
 func RCM(a *CSR) []int {
 	n := a.N
 	// perm doubles as the BFS queue: a vertex is appended when
@@ -106,10 +107,10 @@ func UnpermuteVector(v Vector, perm []int) Vector {
 	return out
 }
 
-// SolveCholeskyRCM solves A*x = b by banded Cholesky after RCM
+// SolveCholeskyRCM solves A*x = b by envelope Cholesky after RCM
 // reordering, returning the solution in the original ordering — the full
 // 1980s production direct-solve pipeline.  It is a one-shot DirectPlan:
-// the permuted values scatter straight into banded storage through the
+// the permuted values scatter straight into envelope storage through the
 // plan's index map instead of materialising a permuted CSR from
 // triplets, which is where the old pipeline's hundreds of allocations
 // per solve went.  Callers that solve one topology repeatedly should

@@ -136,8 +136,15 @@ func TestSolveCholeskyRCMMatchesUnpermuted(t *testing.T) {
 	}
 	// The reordered factorization does strictly less work than the
 	// natural-order one on this badly numbered chain.
+	plan, err := NewDirectPlan(m, PlanOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stNat := &Stats{}
-	if _, err := m.ToBanded().SolveCholesky(b, stNat); err != nil {
+	if err := plan.Refactor(m, stNat); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.SolveInto(b, nil, stNat); err != nil {
 		t.Fatal(err)
 	}
 	if st.Flops >= stNat.Flops {

@@ -1,4 +1,4 @@
-// Package linalg provides the dense, banded, and sparse linear algebra
+// Package linalg provides the dense, envelope, and sparse linear algebra
 // kernels underlying the FEM-2 reproduction.
 //
 // The numerical analyst's virtual machine in the paper exposes "linear
